@@ -4,8 +4,8 @@
 Measures, on the seeded golden survey night (``ScenarioConfig(seed=7)``):
 
 * **fleet tick throughput** — stars/second of a plain ``FleetManager.run``
-  over the night's raw exposures, with p50/p99 per-tick latency from the
-  fleet's health snapshot;
+  on ``backend="compiled"`` over the night's raw exposures, with p50/p99
+  per-tick latency from the fleet's health snapshot;
 * **incremental serving** — the same night on ``backend="incremental"``
   (cross-tick state, O(1)-recompute ticks), with the state's cache-hit /
   rebuild / fallback counters and its speedup over the compiled fleet loop;
@@ -19,6 +19,15 @@ Measures, on the seeded golden survey night (``ScenarioConfig(seed=7)``):
   :class:`repro.training.ContinualLearningController` (the golden night's
   baseline drift trips the monitor mid-night), recording the loop's
   decision counters, retrain cost and end-to-end overhead.
+
+The plain, replay, drift and continual fleets all serve
+``backend="compiled"``, the same engine the incremental lane compiles, so
+``incremental.speedup_vs_compiled`` is incremental over compiled.  Records
+written before that change built those fleets without ``backend=`` and so
+served the detector's default ``autograd`` engine: their
+``speedup_vs_compiled`` divided by an autograd lane (incremental over
+autograd), and their fleet, replay, drift and continual timings are
+autograd timings.
 
 The JSON is committed next to this script as a longitudinal *trajectory*:
 a list of dated run records, appended to on every invocation, so serving
@@ -66,12 +75,13 @@ DETECTOR_CONFIG = AeroConfig.fast(window=32, short_window=8).scaled(
 )
 
 
-def _build_fleet(detector, scenario, threshold, **kwargs) -> FleetManager:
+def _build_fleet(detector, scenario, threshold, backend="compiled", **kwargs) -> FleetManager:
     return FleetManager(
         detector,
         num_shards=scenario.config.num_shards,
         alert_policy=AlertPolicy(min_consecutive=2, cooldown=30),
         threshold=threshold,
+        backend=backend,
         **kwargs,
     )
 

@@ -11,9 +11,9 @@ The compiled runtime (:mod:`repro.runtime`) attacks that cost twice:
   no ``Tensor`` allocation, memoized time embeddings and fused kernels,
   bit-for-bit equal to the autograd scores in float64;
 * ``score_stack`` — the fused multi-star path: the whole ``(S, W, N)``
-  stack of shard windows in **one** plan call (plus an optional float32
-  execution mode), which is how ``FleetManager`` serves on the compiled
-  backend.
+  stack of shard windows scored in cache-sized shard blocks, one plan call
+  per block (plus an optional float32 execution mode), which is how
+  ``FleetManager`` serves on the compiled backend.
 
 The acceptance criterion is that the compiled runtime serves single-window
 scores with at least 5x the throughput of the autograd path; the fused

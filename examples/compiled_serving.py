@@ -12,7 +12,8 @@ The full production loop of the compiled inference runtime
    and time both on single-window serving;
 5. serve a fleet of camera-field shards through a
    :class:`repro.streaming.FleetManager` on the compiled backend — every
-   exposure tick is one fused ``score_stack`` plan call.
+   exposure tick is one fused ``score_stack`` call (one plan call per
+   cache-sized shard block).
 
 Run with:  PYTHONPATH=src python examples/compiled_serving.py
 """

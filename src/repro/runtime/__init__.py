@@ -15,7 +15,8 @@ no per-window python loops.
 * :mod:`~repro.runtime.compiler` — :func:`compile_model` /
   :func:`compile_detector` weight export, and :class:`CompiledDetector`,
   the drop-in serving front-end (``score``/``detect``/``score_windows``
-  plus the fused multi-star ``score_stack``).
+  plus the fused multi-star ``score_stack``, scored in cache-sized shard
+  blocks).
 
 Entry points::
 

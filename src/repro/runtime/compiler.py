@@ -148,6 +148,8 @@ def compile_model(model: "AeroModel", dtype="float64") -> CompiledModel:
         noise=noise,
         use_short_window=model.use_short_window,
         num_variates=model.num_variates,
+        window=model.config.window,
+        short_window=model.config.short_window,
         dtype=dtype,
     )
 
@@ -165,8 +167,8 @@ class CompiledDetector:
     equal to the autograd path in float64 mode.
 
     ``score_stack`` is the fused multi-star serving path: a ``(S, W, N)``
-    stack of ring-buffer windows (one per shard) is scored with a single
-    plan call, no per-shard staging.
+    stack of ring-buffer windows (one per shard) is scored in cache-sized
+    shard blocks (:meth:`CompiledModel.scores`), no per-shard staging.
     """
 
     def __init__(
@@ -216,7 +218,7 @@ class CompiledDetector:
         short_times: np.ndarray | None = None,
     ) -> np.ndarray:
         """Tape-free equivalent of :meth:`AeroDetector.score_windows`."""
-        return self.model.forward(long_windows, short_windows, long_times, short_times).scores
+        return self.model.scores(long_windows, short_windows, long_times, short_times)
 
     # ------------------------------------------------------------------
     # incremental serving
@@ -256,11 +258,13 @@ class CompiledDetector:
         return self.score_stack_step(state, rows, timestamp)[0]
 
     def score_stack(self, stack: np.ndarray, timestamps: np.ndarray | None = None) -> np.ndarray:
-        """Score a ``(S, W, N)`` stack of full windows in one fused call.
+        """Score a ``(S, W, N)`` stack of full windows, shard-blocked.
 
         Each of the ``S`` stack entries is one serving window in time-major
         layout — exactly what a ring buffer view yields — so a fleet of
-        shards is scored without transposing or staging per shard.
+        shards is scored without transposing or staging per shard.  A stack
+        of at most ``model.block_size`` entries is one plan call; a larger
+        one is scored in consecutive blocks of that size (same bits).
         ``timestamps`` may be ``(W,)`` (shared exposure timeline) or
         ``(S, W)``.  Returns ``(S, N)`` scores.
         """
@@ -280,12 +284,12 @@ class CompiledDetector:
                 times = np.broadcast_to(times, (stack.shape[0], window))
             long_times = times
             short_times = times[:, window - short:]
-        return self.model.forward(
+        return self.model.scores(
             long_windows,
             long_windows[:, :, window - short:],
             long_times,
             short_times,
-        ).scores
+        )
 
     # ------------------------------------------------------------------
     def score(self, series: np.ndarray, timestamps: np.ndarray | None = None) -> np.ndarray:
@@ -303,9 +307,9 @@ class CompiledDetector:
         if self.model.graph_mode == "dynamic":
             self.model.reset_dynamic_state()
         return sliding_window_scores(
-            lambda batch: self.model.forward(
+            lambda batch: self.model.scores(
                 batch.long, batch.short, batch.long_times, batch.short_times
-            ).scores,
+            ),
             self.config,
             scaled,
             timestamps,

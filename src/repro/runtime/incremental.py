@@ -109,6 +109,7 @@ def _ws_linear(arena: ScratchArena, name: str, x, weight, bias):
     out = arena.get(name, x.shape[:-1] + (weight.shape[-1],), weight.dtype)
     if weight.shape[0] == 1 and x.shape[-1] == 1:
         np.multiply(x, weight[0], out=out)
+        np.add(out, 0.0, out=out)  # the GEMM's +0.0 start: see ops.linear
     else:
         np.matmul(x, weight, out=out)
     if bias is not None:
@@ -664,7 +665,7 @@ class IncrementalState:
             short_times = times[:, window - self.short :]
         else:
             long_times = short_times = None
-        return self.model.forward(long_windows, short_windows, long_times, short_times).scores
+        return self.model.scores(long_windows, short_windows, long_times, short_times)
 
 
 # ----------------------------------------------------------------------

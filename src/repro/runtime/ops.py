@@ -12,6 +12,10 @@ Two kinds of speedups are applied, neither of which changes a single bit:
 * **in-place completion** — once an intermediate array is freshly
   allocated, the remaining ufuncs of the expression write into it
   (``out=``) instead of allocating again; the values computed are the same.
+  :func:`relu` and :func:`softmax` go one step further and finish in their
+  *input*: every plan hands them a freshly allocated array that nothing
+  else reads, so they overwrite it (same ufuncs, same order, same bits)
+  rather than allocate and stream a second array of the same size.
 * **degenerate-shape shortcuts** — a ``(…, 1) @ (1, d)`` embedding matmul
   is a sum over one product, so the broadcast multiply ``x * w[0]``
   produces identical bits without a GEMM dispatch.
@@ -41,10 +45,13 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
 
     When the contraction axis has length 1 (the univariate value
     embeddings), the matmul degenerates to one product per output element
-    and is computed as a broadcast multiply — bit-identical, no GEMM.
+    and is computed as a broadcast multiply — bit-identical, no GEMM.  The
+    product is added to the +0.0 a GEMM accumulates from, which turns a
+    -0.0 product into +0.0 exactly as the matmul does.
     """
     if weight.shape[0] == 1 and x.shape[-1] == 1:
         out = x * weight[0]
+        np.add(out, 0.0, out=out)
     else:
         out = x @ weight
     if bias is not None:
@@ -53,10 +60,14 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    """Matches ``Tensor.relu``: multiply by a 0/1 mask (not ``np.maximum``)."""
-    mask = (x > 0).astype(x.dtype)
-    np.multiply(x, mask, out=mask)
-    return mask
+    """Matches ``Tensor.relu``: multiply by a 0/1 mask (not ``np.maximum``).
+
+    **Overwrites** ``x`` and returns it.  The boolean mask is cast to the
+    float loop by the multiply itself, so each element is multiplied by
+    exactly the 1.0/0.0 that ``Tensor.relu``'s ``astype`` mask holds.
+    """
+    np.multiply(x, x > 0, out=x)
+    return x
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -77,11 +88,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Matches ``Tensor.softmax``: max-shifted exponentials."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    np.divide(shifted, shifted.sum(axis=axis, keepdims=True), out=shifted)
-    return shifted
+    """Matches ``Tensor.softmax``: max-shifted exponentials.
+
+    **Overwrites** ``x`` with the probabilities and returns it.
+    """
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=x)
+    np.exp(x, out=x)
+    np.divide(x, x.sum(axis=axis, keepdims=True), out=x)
+    return x
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
@@ -108,7 +122,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -
 
 
 def apply_activation(x: np.ndarray, name: str) -> np.ndarray:
-    """Dispatch matching the activation names used across :mod:`repro.nn`."""
+    """Dispatch matching the activation names used across :mod:`repro.nn`.
+
+    ``"relu"`` overwrites ``x`` (see :func:`relu`); pass a fresh array.
+    """
     if name == "identity":
         return x
     if name == "relu":

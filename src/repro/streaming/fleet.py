@@ -86,7 +86,8 @@ class FleetManager:
         :class:`repro.runtime.CompiledDetector`.
         On the compiled backend every tick is served through the fused
         multi-star ``score_stack`` path: the ``(num_shards, W, N)`` stack of
-        ring-buffer windows is scored in one tape-free plan call.
+        ring-buffer windows is scored tape-free, in cache-sized shard blocks
+        (one plan call per block, bit-equal to one unblocked call).
         ``"incremental"`` compiles the detector and serves ticks through a
         cross-tick :class:`repro.runtime.IncrementalState`: each exposure
         appends one row per shard into the state's ring arenas and only the
@@ -236,7 +237,7 @@ class FleetManager:
         # copying each shard's zero-copy window view.  The autograd path
         # stages variate-major ``(S, N, W)`` windows; the compiled path keeps
         # the ring buffers' time-major layout and hands the ``(S, W, N)``
-        # stack to the fused ``score_stack`` plan call.
+        # stack to the fused, shard-blocked ``score_stack``.
         if self._engine is None:
             self._batch_long = np.empty((num_shards, self.num_variates, window))
         else:

@@ -12,10 +12,19 @@ import pytest
 from repro import AeroConfig, AeroDetector
 from repro.core.variants import ABLATION_VARIANTS, build_variant
 from repro.nn import Tensor
-from repro.runtime import compile_detector
+from repro.runtime import CompiledModel, compile_detector
 from repro.streaming import AlertPolicy, FleetManager, StreamingDetector
 
 VARIANTS = sorted(ABLATION_VARIANTS)
+
+#: Stack sizes on both sides of the shard-block boundary, from the block size.
+STACK_SIZES = {
+    "one": lambda block: 1,
+    "block-1": lambda block: block - 1,
+    "block": lambda block: block,
+    "block+1": lambda block: block + 1,
+    "2block+3": lambda block: 2 * block + 3,
+}
 
 
 def _make_series(num_points, num_variates, seed=7):
@@ -152,6 +161,36 @@ class TestFloat32Mode:
         np.testing.assert_allclose(scores32, reference, atol=1e-4, rtol=1e-3)
 
 
+def _random_stack(compiled, num_stacks, seed=0):
+    """``(S, W, N)`` scaled serving windows."""
+    shape = (num_stacks, compiled.config.window, compiled.num_variates)
+    return np.random.default_rng(seed).random(shape)
+
+
+def _stack_times(compiled, num_stacks, kind):
+    """``None``, a shared ``(W,)`` timeline or per-stack ``(S, W)`` timelines."""
+    if kind == "none":
+        return None
+    rng = np.random.default_rng(9)
+    window = compiled.config.window
+    if kind == "shared":
+        return np.cumsum(0.9 + 0.2 * rng.random(window))
+    return np.cumsum(0.9 + 0.2 * rng.random((num_stacks, window)), axis=1)
+
+
+def _unblocked_scores(compiled, stack, timestamps):
+    """``score_stack``'s scores from one plan call over the whole stack."""
+    window, short = compiled.config.window, compiled.config.short_window
+    longs = np.asarray(stack, dtype=compiled.dtype).transpose(0, 2, 1)
+    long_times = short_times = None
+    if timestamps is not None:
+        long_times = np.broadcast_to(timestamps, (len(stack), window))
+        short_times = long_times[:, window - short:]
+    return compiled.model.forward(
+        longs, longs[:, :, window - short:], long_times, short_times
+    ).scores
+
+
 class TestFusedStack:
     def test_score_stack_matches_per_window_calls(self, detector, test_series):
         window, short = detector.config.window, detector.config.short_window
@@ -177,6 +216,85 @@ class TestFusedStack:
             longs, longs[:, :, window - short:], tiled, tiled[:, window - short:]
         )
         assert np.array_equal(fused, reference)
+
+    @pytest.mark.parametrize("times", ["none", "shared", "per_stack"])
+    @pytest.mark.parametrize("size", sorted(STACK_SIZES))
+    def test_blocked_stack_bit_equal_to_unblocked_forward(self, detector, size, times):
+        compiled = compile_detector(detector)
+        num_stacks = STACK_SIZES[size](compiled.model.block_size)
+        stack = _random_stack(compiled, num_stacks)
+        timestamps = _stack_times(compiled, num_stacks, times)
+        fused = compiled.score_stack(stack, timestamps)
+        assert fused.shape == (num_stacks, compiled.num_variates)
+        assert np.array_equal(fused, _unblocked_scores(compiled, stack, timestamps))
+
+    def test_blocks_are_consecutive_plan_calls(self, detector, monkeypatch):
+        compiled = compile_detector(detector)
+        block = compiled.model.block_size
+        batches = []
+        forward = CompiledModel.forward
+
+        def recording(self, long_windows, *args):
+            batches.append(len(long_windows))
+            return forward(self, long_windows, *args)
+
+        monkeypatch.setattr(CompiledModel, "forward", recording)
+        compiled.score_stack(_random_stack(compiled, block))
+        assert batches == [block]
+        batches.clear()
+        compiled.score_stack(_random_stack(compiled, 2 * block + 3))
+        assert batches == [block, block, 3]
+
+    def test_blocked_score_windows(self, detector):
+        compiled = compile_detector(detector)
+        stack = _random_stack(compiled, 2 * compiled.model.block_size + 3)
+        window, short = detector.config.window, detector.config.short_window
+        longs = stack.transpose(0, 2, 1)
+        assert np.array_equal(
+            compiled.score_windows(longs, longs[:, :, window - short:]),
+            _unblocked_scores(compiled, stack, None),
+        )
+
+    def test_blocked_dynamic_graph_carries_state(self, fitted_variants):
+        det = fitted_variants["dynamic_graph"]
+        blocked, reference = compile_detector(det), compile_detector(det)
+        num_stacks = 2 * blocked.model.block_size + 3
+        # The second call continues from the state the first one carried out.
+        for seed in (0, 1):
+            stack = _random_stack(blocked, num_stacks, seed=seed)
+            assert np.array_equal(
+                blocked.score_stack(stack), _unblocked_scores(reference, stack, None)
+            )
+            got, expected = blocked.model.noise, reference.model.noise
+            assert np.array_equal(got.last_adjacency, expected.last_adjacency)
+            assert np.array_equal(got._dynamic_state, expected._dynamic_state)
+
+    def test_gcn_only_model_is_one_block(self, fitted_variants, monkeypatch):
+        compiled = compile_detector(fitted_variants["no_temporal"])
+        assert compiled.model.temporal is None
+        calls = []
+        forward = CompiledModel.forward
+
+        def counting(self, *args):
+            calls.append(len(args[0]))
+            return forward(self, *args)
+
+        stack = _random_stack(compiled, 4096)
+        reference = _unblocked_scores(compiled, stack, None)
+        monkeypatch.setattr(CompiledModel, "forward", counting)
+        assert np.array_equal(compiled.score_stack(stack), reference)
+        assert calls == [4096]
+
+    def test_blocked_float32_stack(self, detector):
+        compiled32 = compile_detector(detector, dtype="float32")
+        num_stacks = 2 * compiled32.model.block_size + 3
+        stack = _random_stack(compiled32, num_stacks)
+        times = _stack_times(compiled32, num_stacks, "per_stack")
+        scores32 = compiled32.score_stack(stack, times)
+        assert scores32.dtype == np.float32
+        np.testing.assert_allclose(scores32, _unblocked_scores(compiled32, stack, times))
+        reference = _unblocked_scores(compile_detector(detector), stack, times)
+        np.testing.assert_allclose(scores32, reference, atol=1e-4, rtol=1e-3)
 
     def test_score_stack_validation(self, detector, test_series):
         compiled = compile_detector(detector)
