@@ -29,6 +29,10 @@ served the detector's default ``autograd`` engine: their
 autograd), and their fleet, replay, drift and continual timings are
 autograd timings.
 
+``fit_peak_rss_mb`` is the process's peak resident set size right after
+the detector's fit, the first heavy step of the run.  Records written
+before it was added lack the field.
+
 The JSON is committed next to this script as a longitudinal *trajectory*:
 a list of dated run records, appended to on every invocation, so serving
 regressions show up as a kink in the history rather than a silently
@@ -47,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import sys
 import tempfile
 import time
@@ -93,6 +98,9 @@ def record() -> dict:
     started = time.perf_counter()
     detector.fit(scenario.train, scenario.train_timestamps)
     fit_seconds = time.perf_counter() - started
+    # Fit is the first heavy step of this process, so the peak so far is
+    # the fit's (ru_maxrss is in KiB on Linux).
+    fit_peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     calibration_scores = detector.score(
         scenario.calibration, scenario.calibration_timestamps
     )
@@ -180,6 +188,7 @@ def record() -> dict:
             "missing_fraction": round(scenario.missing_fraction(), 4),
         },
         "fit_seconds": round(fit_seconds, 3),
+        "fit_peak_rss_mb": round(fit_peak_rss_mb, 1),
         "fleet": {
             "ticks": ticks,
             "seconds": round(plain_seconds, 4),

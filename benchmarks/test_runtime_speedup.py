@@ -182,8 +182,12 @@ def _run_incremental_comparison():
                 incremental_scores[tick] = compiled.score_stack_step(state, rows[tick])
             return time.perf_counter() - started
 
-        fused_seconds = min(fused_pass() for _ in range(3))
-        incremental_seconds = min(incremental_pass() for _ in range(3))
+        # Interleave the lanes, so a slow spell of the host hits both
+        # rather than one; best-of-3 for each.
+        fused_seconds = incremental_seconds = np.inf
+        for _ in range(3):
+            fused_seconds = min(fused_seconds, fused_pass())
+            incremental_seconds = min(incremental_seconds, incremental_pass())
         return fused_seconds, incremental_seconds, fused_scores.copy(), incremental_scores.copy()
 
     # The gated lane serves the larger incremental fleet: per-tick staging

@@ -12,6 +12,18 @@ engine:
   softmax, log-softmax),
 * a topological-order ``backward`` pass that accumulates gradients.
 
+The tape is cycle-free: an output node holds its parents and the VJP it was
+built with, and no VJP captures its own output, so a graph is freed by
+reference counting as soon as the last reference to its output drops (for a
+training loop, when ``loss`` is rebound for the next batch) instead of
+waiting for a cyclic garbage-collector pass.  Gradient accumulation copies
+leaf gradients (``Parameter``s and user tensors), so every public ``.grad``
+array is private.  A non-leaf gradient may alias its VJP output when that is
+C-contiguous; nothing mutates a gradient in place, which keeps the aliasing
+harmless.  Non-contiguous VJP outputs are still copied, because their layout
+would steer later matmuls and reductions to other numpy kernels and change
+the trained weights' bits.
+
 The design intentionally mirrors the familiar ``torch.Tensor`` surface so the
 model code in :mod:`repro.core` and :mod:`repro.baselines` reads like the
 paper's reference implementation.
@@ -83,13 +95,13 @@ def _as_array(value, dtype=np.float64) -> np.ndarray:
 class Tensor:
     """A numpy-backed array that records operations for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and getattr(_GRAD_STATE, "enabled", True)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], Iterable[np.ndarray | None]] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -148,8 +160,11 @@ class Tensor:
     ) -> "Tensor":
         """Create an output tensor wired to ``parents`` via ``backward``.
 
-        ``backward`` maps the output gradient to one gradient per parent
-        (``None`` for parents that do not require gradients).
+        ``backward`` is the VJP: it maps the output gradient to one gradient
+        per parent (``None`` for parents that do not require gradients).  The
+        node stores only ``parents`` and ``backward``; VJPs capture their
+        inputs, never their output, so the graph holds no reference cycle and
+        is freed by refcount when the last reference to the output drops.
         """
         requires = getattr(_GRAD_STATE, "enabled", True) and any(
             p.requires_grad for p in parents
@@ -157,19 +172,7 @@ class Tensor:
         out = cls(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
-
-            def _run() -> None:
-                grads = backward(out.grad)
-                for parent, grad in zip(out._parents, grads):
-                    if grad is None or not parent.requires_grad:
-                        continue
-                    grad = _unbroadcast(np.asarray(grad), parent.data.shape)
-                    if parent.grad is None:
-                        parent.grad = grad.copy()
-                    else:
-                        parent.grad = parent.grad + grad
-
-            out._backward = _run
+            out._backward = backward
         return out
 
     # ------------------------------------------------------------------
@@ -477,6 +480,21 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
+        Nodes are visited in reverse topological order; each node's VJP maps
+        its accumulated gradient to its parents' gradients, which are
+        unbroadcast to the parent's shape and summed into ``parent.grad``.
+
+        The first gradient a node receives is copied when the node is a leaf
+        (no VJP: ``Parameter``s and user tensors), so public ``.grad`` arrays
+        never alias each other or a VJP's internals and may be edited in
+        place by ``clip_grad_norm``, optimizers or users.  A non-leaf node
+        keeps a C-contiguous VJP output as is, so its grad may alias another
+        node's; that is safe because nothing mutates a gradient in place
+        (accumulation is ``parent.grad + grad``, a new array).  Non-contiguous
+        outputs (views from ``transpose``/``swapaxes`` VJPs) are still copied:
+        their memory layout steers the next matmul or reduction to a
+        different numpy kernel, which would change the trained weights' bits.
+
         Parameters
         ----------
         grad:
@@ -507,5 +525,15 @@ class Tensor:
                     stack.append((parent, False))
 
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._backward is None or node.grad is None:
+                continue
+            for parent, grad in zip(node._parents, node._backward(node.grad)):
+                if grad is None or not parent.requires_grad:
+                    continue
+                grad = _unbroadcast(np.asarray(grad), parent.data.shape)
+                if parent.grad is None:
+                    if parent._backward is None or not grad.flags.c_contiguous:
+                        grad = grad.copy()
+                    parent.grad = grad
+                else:
+                    parent.grad = parent.grad + grad

@@ -231,8 +231,10 @@ class TrainingSession:
             self._train_windows, self._val_windows = window_dataset, None
         self._window_dataset = window_dataset
         self._data_fingerprint: dict | None = None  # hashed lazily, see below
-        # Stage-2 holdout reconstructions are constant (the temporal module is
-        # frozen); computed once on first use, see _validation_loss.
+        # Stage-2 reconstructions are constant (the temporal module is
+        # frozen); computed once on first use, see _stage2_reconstructions
+        # and _validation_loss.
+        self._stage2_cache: np.ndarray | None = None
         self._val_stage2_cache: list[tuple[np.ndarray, np.ndarray]] | None = None
         if verbose:
             _ensure_verbose_output()
@@ -435,6 +437,8 @@ class TrainingSession:
             self.history.stage1_best_epoch = best_epoch
         else:
             self.history.stage2_best_epoch = best_epoch
+        if stage == 2:
+            self._stage2_cache = None
         self._optimizer = None
         self._stopper = None
         self._stop = False
@@ -470,14 +474,13 @@ class TrainingSession:
 
     def _stage2_epoch(self) -> float:
         model, config = self.model, self.config
+        reconstructions = self._stage2_reconstructions()
+        ends = self._train_windows.end_indices
         losses = []
         for batch in self._train_windows.batches(config.batch_size, shuffle=True, rng=self._rng):
             target = model._target(batch.long, batch.short)
-            if model.temporal is not None:
-                with no_grad():
-                    reconstruction = model.temporal_forward(
-                        batch.long, batch.short, batch.long_times, batch.short_times
-                    ).data
+            if reconstructions is not None:
+                reconstruction = reconstructions[np.searchsorted(ends, batch.end_indices)]
             else:
                 reconstruction = np.zeros_like(target)
             errors = target - reconstruction
@@ -490,6 +493,38 @@ class TrainingSession:
             self._optimizer.step()
             losses.append(loss.item())
         return float(np.mean(losses)) if losses else 0.0
+
+    def _stage2_reconstructions(self) -> np.ndarray | None:
+        """The frozen temporal module's reconstruction of every training
+        window, in window order, computed once per stage 2.
+
+        A window's reconstruction does not depend on its batch-mates (the
+        GEMMs run per slice, norms and softmax per row), so gathering the
+        rows of a shuffled batch from this cache reproduces the per-batch
+        forward bit for bit.  It runs lazily on the first stage-2 epoch —
+        after stage 1's best-weight restore, or after a resume — in eval
+        mode, so a temporal module with dropout yields deterministic
+        targets, as a frozen stage-1 model implies.  ``None`` when the
+        variant has no temporal module.
+        """
+        model = self.model
+        if model.temporal is None:
+            return None
+        if self._stage2_cache is None:
+            model.temporal.eval()
+            try:
+                with no_grad():
+                    self._stage2_cache = np.concatenate([
+                        model.temporal_forward(
+                            batch.long, batch.short, batch.long_times, batch.short_times
+                        ).data
+                        for batch in self._train_windows.batches(
+                            self.config.batch_size, shuffle=False
+                        )
+                    ])
+            finally:
+                model.temporal.train()
+        return self._stage2_cache
 
     def _validation_loss(self, stage: int) -> float:
         """Holdout loss of the current stage (exact mean over all elements)."""
@@ -676,6 +711,7 @@ class TrainingSession:
 
         self._optimizer = None
         self._stopper = None
+        self._stage2_cache = self._val_stage2_cache = None
         if not self._done and self._cursor < len(self._stages):
             optimizer_state = {
                 name[len("optimizer."):]: value

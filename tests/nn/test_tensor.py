@@ -1,5 +1,8 @@
 """Unit tests for the autodiff Tensor: forward values and gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -312,3 +315,59 @@ class TestNumericalStability:
     def test_softmax_large_values_finite(self):
         out = Tensor([1e6, 1e6 + 1]).softmax()
         assert np.isfinite(out.data).all()
+
+
+@pytest.fixture
+def gc_disabled():
+    """Turn the cyclic garbage collector off, so only refcounting frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestGraphLifetime:
+    """The tape holds no reference cycle: refcounting alone frees a graph."""
+
+    def test_intermediate_dies_with_its_loss(self, gc_disabled):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        hidden = (x * 2.0).tanh()
+        alive = weakref.ref(hidden)
+        loss = (hidden @ Tensor(np.ones((3, 1)))).sum()
+        del hidden
+        loss.backward()
+        assert alive() is not None  # the loss still owns its graph
+        del loss
+        assert alive() is None
+        assert x.grad is not None
+
+    def test_detector_fit_leaves_no_cyclic_garbage(self, gc_disabled):
+        from repro.core import AeroConfig, AeroDetector
+
+        config = AeroConfig.fast(window=16, short_window=6).scaled(
+            d_model=8, num_heads=2, max_epochs_stage1=1, max_epochs_stage2=1
+        )
+        series = np.random.default_rng(42).normal(10.0, 1.0, size=(150, 3))
+        AeroDetector(config).fit(series)
+        assert gc.collect() == 0
+
+
+class TestGradientAliasing:
+    def test_leaf_grads_are_private(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        a.grad *= 5.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 5.0))
+
+    def test_transposed_intermediate_grad_is_c_contiguous(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        hidden = x * 1.0
+        flipped = hidden.transpose()
+        (flipped @ Tensor(np.ones((3, 2)))).sum().backward()
+        assert hidden.grad.flags.c_contiguous
+        np.testing.assert_array_equal(hidden.grad, np.full((3, 4), 2.0))

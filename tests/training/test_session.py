@@ -99,19 +99,19 @@ class TestEarlyStopping:
 RESUME_VARIANTS = ["full", "no_temporal", "no_noise_module", "static_graph", "dynamic_graph"]
 
 
-@pytest.mark.parametrize("variant", RESUME_VARIANTS)
-def test_interrupted_resume_is_bit_identical(variant, tiny_config, train_series, tmp_path, build_setup):
-    """Stop after k epochs, resume from the checkpoint in a fresh session, and
-    compare against an uninterrupted run: weights must match bit for bit."""
+def _check_interrupted_resume(variant, config, train_series, tmp_path, build_setup, budget):
+    """Stop after ``budget(history)`` epochs, resume from the checkpoint in a
+    fresh session, and compare against an uninterrupted run: weights must
+    match bit for bit.  Returns the interrupted session."""
     kwargs = ABLATION_VARIANTS[variant]
-    config = tiny_config
 
     model_a, dataset_a, _ = build_setup(config, train_series, **kwargs)
     history_a = TrainingSession(model_a, dataset_a, config).run()
 
     checkpoint = tmp_path / f"{variant}.npz"
     model_b, dataset_b, _ = build_setup(config, train_series, **kwargs)
-    TrainingSession(model_b, dataset_b, config, checkpoint_path=checkpoint).run(epoch_budget=2)
+    session_b = TrainingSession(model_b, dataset_b, config, checkpoint_path=checkpoint)
+    session_b.run(epoch_budget=budget(history_a))
 
     # "Crash": throw the half-trained model away, rebuild from scratch, resume.
     model_c, dataset_c, _ = build_setup(config, train_series, **kwargs)
@@ -127,6 +127,50 @@ def test_interrupted_resume_is_bit_identical(variant, tiny_config, train_series,
     assert history_c.stage2_losses == history_a.stage2_losses
     assert history_c.stage1_best_epoch == history_a.stage1_best_epoch
     assert history_c.stage2_best_epoch == history_a.stage2_best_epoch
+    return session_b
+
+
+@pytest.mark.parametrize("variant", RESUME_VARIANTS)
+def test_interrupted_resume_is_bit_identical(variant, tiny_config, train_series, tmp_path, build_setup):
+    """Interrupt after two epochs (inside stage 1 when the variant has one)."""
+    _check_interrupted_resume(
+        variant, tiny_config, train_series, tmp_path, build_setup, lambda history: 2
+    )
+
+
+@pytest.mark.parametrize("variant", ["full", "static_graph", "dynamic_graph"])
+def test_interrupted_resume_inside_stage2_is_bit_identical(
+    variant, tiny_config, train_series, tmp_path, build_setup
+):
+    """Interrupt after the first stage-2 epoch: the resumed session must
+    rebuild the frozen stage-1 reconstructions from the checkpoint's weights."""
+    session = _check_interrupted_resume(
+        variant, tiny_config, train_series, tmp_path, build_setup,
+        lambda history: history.stage1_epochs + 1,
+    )
+    assert session.stage == 2 and session.epochs_completed == 1
+
+
+def test_stage2_runs_the_frozen_temporal_forward_once(tiny_config, train_series, build_setup):
+    """Stage 2 reconstructs each training window once, not once per epoch."""
+    config = tiny_config.scaled(patience=10)
+    model, dataset, _ = build_setup(config, train_series)
+    session = TrainingSession(model, dataset, config)
+    calls = []
+    original = model.temporal_forward
+
+    def counting(*args, **kwargs):
+        if session.stage == 2:
+            calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    model.temporal_forward = counting
+    history = session.run()
+    assert session.done and history.stage2_epochs == config.max_epochs_stage2 > 1
+    batches = -(-len(dataset) // config.batch_size)
+    assert len(calls) == batches
+    assert sum(calls) == len(dataset)
+    assert session._stage2_cache is None
 
 
 def test_detector_fit_resume_after_interruption(tiny_config, train_series, tmp_path, monkeypatch):
