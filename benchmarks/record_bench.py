@@ -6,9 +6,6 @@ Measures, on the seeded golden survey night (``ScenarioConfig(seed=7)``):
 * **fleet tick throughput** — stars/second of a plain ``FleetManager.run``
   on ``backend="compiled"`` over the night's raw exposures, with p50/p99
   per-tick latency from the fleet's health snapshot;
-* **incremental serving** — the same night on ``backend="incremental"``
-  (cross-tick state, O(1)-recompute ticks), with the state's cache-hit /
-  rebuild / fallback counters and its speedup over the compiled fleet loop;
 * **fault-replay overhead** — wall-clock cost of driving the same night
   through :class:`repro.simulation.ReplayHarness` (dedupe gate, trace
   collection, event scoring) relative to the plain tick loop;
@@ -20,14 +17,15 @@ Measures, on the seeded golden survey night (``ScenarioConfig(seed=7)``):
   baseline drift trips the monitor mid-night), recording the loop's
   decision counters, retrain cost and end-to-end overhead.
 
-The plain, replay, drift and continual fleets all serve
-``backend="compiled"``, the same engine the incremental lane compiles, so
-``incremental.speedup_vs_compiled`` is incremental over compiled.  Records
-written before that change built those fleets without ``backend=`` and so
-served the detector's default ``autograd`` engine: their
-``speedup_vs_compiled`` divided by an autograd lane (incremental over
-autograd), and their fleet, replay, drift and continual timings are
-autograd timings.
+Every fleet serves ``backend="compiled"``, the one serving engine.
+Schema v5 drops the ``incremental`` lane of the v3/v4 records, because
+the ``backend="incremental"`` engine is gone.  The past records stay in
+the trajectory as they were written.  They predate the explicit
+``backend="compiled"``: their fleets served the detector's default
+``autograd`` engine, so their fleet, replay, drift and continual timings
+are autograd timings, and their ``incremental.speedup_vs_compiled``
+divided by an autograd lane.  A ``note`` in those sections marks that
+ratio as not reproduced.
 
 ``fit_peak_rss_mb`` is the process's peak resident set size right after
 the detector's fit, the first heavy step of the run.  Records written
@@ -80,13 +78,13 @@ DETECTOR_CONFIG = AeroConfig.fast(window=32, short_window=8).scaled(
 )
 
 
-def _build_fleet(detector, scenario, threshold, backend="compiled", **kwargs) -> FleetManager:
+def _build_fleet(detector, scenario, threshold, **kwargs) -> FleetManager:
     return FleetManager(
         detector,
         num_shards=scenario.config.num_shards,
         alert_policy=AlertPolicy(min_consecutive=2, cooldown=30),
         threshold=threshold,
-        backend=backend,
+        backend="compiled",
         **kwargs,
     )
 
@@ -113,15 +111,6 @@ def record() -> dict:
     plain_seconds = time.perf_counter() - started
     health = fleet.health()
     ticks = health.steps_ingested
-
-    # --- incremental serving: same night on the cross-tick state ---------
-    incremental_fleet = _build_fleet(
-        detector, scenario, threshold, backend="incremental"
-    )
-    started = time.perf_counter()
-    incremental_fleet.run(scenario.exposures, scenario.timestamps)
-    incremental_seconds = time.perf_counter() - started
-    incremental_stats = incremental_fleet.incremental_stats()
 
     # --- fault replay: same night through the validation harness ---------
     harness = ReplayHarness(_build_fleet(detector, scenario, threshold), scenario)
@@ -171,7 +160,7 @@ def record() -> dict:
     )
 
     return {
-        "schema": "bench-streaming/v4",
+        "schema": "bench-streaming/v5",
         "recorded_unix": time.time(),  # repro: allow[wallclock] -- provenance stamp in the report, not an input to any measurement
         "repro_version": __version__,
         "platform": {
@@ -196,14 +185,6 @@ def record() -> dict:
             "stars_per_second": round(ticks * health.num_stars / plain_seconds, 1),
             "p50_step_ms": round(health.p50_step_ms, 3),
             "p99_step_ms": round(health.p99_step_ms, 3),
-        },
-        "incremental": {
-            "seconds": round(incremental_seconds, 4),
-            "ticks_per_second": round(ticks / incremental_seconds, 2),
-            "speedup_vs_compiled": round(plain_seconds / incremental_seconds, 3),
-            "rebuilds": incremental_stats["rebuilds"],
-            "incremental_ticks": incremental_stats["incremental_ticks"],
-            "fallback_ticks": incremental_stats["fallback_ticks"],
         },
         "replay": {
             "frames": replay_frames,
@@ -233,7 +214,10 @@ def record() -> dict:
 
 def load_trajectory(path: Path) -> list[dict]:
     """Existing run records at ``path`` (oldest first), tolerant of the
-    legacy layout where the file held one bare record instead of a list."""
+    legacy layout where the file held one bare record instead of a list.
+
+    Records of every schema (v2-v5) load as they were written; only the
+    v3/v4 ones carry an ``incremental`` section."""
     if not path.exists():
         return []
     existing = json.loads(path.read_text())
@@ -255,16 +239,14 @@ def main(argv: list[str] | None = None) -> int:
     record_dict = record()
     trajectory.append(record_dict)
     path.write_text(json.dumps(trajectory, indent=2) + "\n")
-    fleet, incremental, replay, drift, continual = (
-        record_dict["fleet"], record_dict["incremental"],
-        record_dict["replay"], record_dict["drift"], record_dict["continual"],
+    fleet, replay, drift, continual = (
+        record_dict["fleet"], record_dict["replay"],
+        record_dict["drift"], record_dict["continual"],
     )
     print(f"wrote {path} ({len(trajectory)} run{'s' if len(trajectory) != 1 else ''})")
     print(
         f"fleet: {fleet['stars_per_second']:,.0f} stars/s "
         f"(p50 {fleet['p50_step_ms']:.2f} ms, p99 {fleet['p99_step_ms']:.2f} ms); "
-        f"incremental {incremental['speedup_vs_compiled']:.2f}x "
-        f"({incremental['rebuilds']} rebuilds); "
         f"replay overhead {replay['overhead_vs_plain']:.2f}x; "
         f"drift overhead {drift['overhead_vs_plain']:.2f}x"
     )

@@ -110,7 +110,7 @@ def test_streaming_throughput(benchmark, profile):
     np.testing.assert_allclose(
         result["stream_scores"], result["naive_scores"], rtol=0, atol=1e-10
     )
-    # Acceptance criterion: incremental serving is >= 10x naive re-scoring.
+    # Acceptance criterion: streaming serving is >= 10x naive re-scoring.
     assert result["speedup"] >= 10.0
     # The fleet serves NUM_SHARDS x more stars; per-step cost must grow far
     # more slowly than the shard count (vectorisation pays off).

@@ -5,7 +5,7 @@ series offline, this example uses the streaming subsystem end to end:
 
 1. train AERO offline on the unlabeled archive (Algorithm 1);
 2. wrap the fitted detector in a :class:`repro.streaming.StreamingDetector`
-   and verify its incremental scores match the batch path exactly;
+   and verify its per-row streaming scores match the batch path exactly;
 3. serve a *fleet* of simulated camera fields through a
    :class:`repro.streaming.FleetManager` — one vectorised model call per
    exposure for all shards, with ``threshold_mode="per_star"`` adaptive POT
@@ -35,7 +35,7 @@ def main() -> None:
     detector.fit(dataset.train, dataset.train_timestamps)
     print(f"calibrated POT threshold: {detector.threshold():.4f}\n")
 
-    # --- single-stream sanity check: incremental == batch -----------------
+    # --- single-stream sanity check: streaming == batch -------------------
     stream = detector.stream()
     streaming_scores = stream.score_series(dataset.test)
     batch_scores = detector.score(dataset.test)

@@ -1,7 +1,7 @@
 """Static invariant checking for the reproduction's core guarantees.
 
-The repo's contracts — bit-for-bit equality between the autograd, compiled
-and incremental serving paths, zero-allocation steady-state ticks, and
+The repo's contracts — bit-for-bit equality between the autograd and
+compiled serving paths, no stray allocations in per-tick hot paths, and
 NaN-transparent POT/streaming state — are enforced dynamically by tests,
 but a test only exercises the configurations someone thought to pin.  This
 package makes the contracts *executable on every file, every CI run*:
@@ -12,12 +12,9 @@ package makes the contracts *executable on every file, every CI run*:
   float32-literal violations), ``# repro: allow[rule]`` suppressions and
   unused-suppression detection.  ``python -m repro.analysis`` runs it as a
   blocking CI gate.
-* :mod:`repro.analysis.plancheck` — an abstract verifier for the compiled
-  runtime: symbolic shape/dtype propagation over plan weights, a shadow
-  interpretation of incremental ticks that detects workspace aliasing in
-  :class:`~repro.runtime.incremental.ScratchArena` buffers, ring-buffer
-  invariant checks, layout-consistency checks and an end-to-end
-  incremental-vs-full score comparison.  Exposed to users as
+* :mod:`repro.analysis.plancheck` — a structural verifier for the compiled
+  runtime: symbolic shape/dtype propagation over plan weights plus the
+  write-lock (``freeze``) contract.  Exposed to users as
   ``compile_detector(..., verify=True)``.
 * :mod:`repro.analysis.hotpath` — the registry naming the functions whose
   steady-state ticks must not allocate, plus the ``@hot_path`` decorator
@@ -36,8 +33,6 @@ from .plancheck import (
     PlanIssue,
     PlanReport,
     PlanVerificationError,
-    TrackingArena,
-    check_state,
     check_structure,
     verify_detector,
     verify_model,
@@ -52,8 +47,6 @@ __all__ = [
     "PlanReport",
     "PlanVerificationError",
     "RULES",
-    "TrackingArena",
-    "check_state",
     "check_structure",
     "hot_path",
     "lint_file",

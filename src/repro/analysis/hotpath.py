@@ -1,9 +1,8 @@
 """Registry of steady-state hot paths and the ``@hot_path`` decorator.
 
 A *hot path* is a function whose per-tick execution is part of a pinned
-performance contract: the incremental serving kernels are tracemalloc-pinned
-to zero steady-state allocation, and the fleet/POT/telemetry tick paths are
-benchmarked against allocation-driven regressions.  The
+performance contract: the fleet/POT/telemetry tick paths are benchmarked
+against allocation-driven regressions.  The
 ``hot-alloc``/``hot-ufunc-out`` lint rules (:mod:`repro.analysis.rules`)
 flag numpy allocations inside registered functions so a new ``np.empty`` or
 an ``out=``-less ufunc cannot sneak into a tick unnoticed.
@@ -26,8 +25,9 @@ Tiers
     suppression with a justification.
 ``"strict"``
     Everything ``alloc`` forbids, plus every ufunc call must write into a
-    preallocated destination (``out=``).  This is the zero-allocation
-    contract of the incremental workspace kernels.
+    preallocated destination (``out=``): the contract for a kernel that
+    works entirely in caller-owned buffers.  No manifest entry uses it
+    today; ``@hot_path(tier="strict")`` registers one in place.
 """
 
 from __future__ import annotations
@@ -38,37 +38,9 @@ __all__ = ["HOT_PATHS", "hot_path"]
 #: lexical nesting of the AST (``Class.method``); the path is matched as a
 #: ``/``-separated suffix of the linted file's path.
 HOT_PATHS: dict[str, str] = {
-    # -- incremental serving: the zero-allocation tick kernels ------------
-    "repro/runtime/incremental.py::ScratchArena.get": "strict",
-    "repro/runtime/incremental.py::_ws_linear": "strict",
-    "repro/runtime/incremental.py::_ws_relu": "strict",
-    "repro/runtime/incremental.py::_ws_gelu": "strict",
-    "repro/runtime/incremental.py::_ws_sigmoid": "strict",
-    "repro/runtime/incremental.py::_sigmoid_inplace": "strict",
-    "repro/runtime/incremental.py::_ws_activation": "strict",
-    "repro/runtime/incremental.py::_ws_softmax_inplace": "strict",
-    "repro/runtime/incremental.py::_ws_layer_norm": "strict",
-    "repro/runtime/incremental.py::_ws_ffn": "strict",
-    "repro/runtime/incremental.py::_ws_attend": "strict",
-    "repro/runtime/incremental.py::_ws_self_attention": "strict",
-    "repro/runtime/incremental.py::_ws_cross_attention": "strict",
-    "repro/runtime/incremental.py::_ws_encoder_layer": "strict",
-    "repro/runtime/incremental.py::_ws_self_stage": "strict",
-    "repro/runtime/incremental.py::_ws_cross_stage": "strict",
-    "repro/runtime/incremental.py::_ws_decoder_layer": "strict",
-    "repro/runtime/incremental.py::IncrementalState.append": "strict",
-    "repro/runtime/incremental.py::IncrementalState._embed_row": "strict",
-    "repro/runtime/incremental.py::IncrementalState.score": "strict",
-    "repro/runtime/incremental.py::IncrementalState._score_full": "strict",
-    "repro/runtime/incremental.py::temporal_step": "strict",
-    "repro/runtime/incremental.py::noise_step": "strict",
-    "repro/runtime/incremental.py::model_step": "strict",
-    "repro/runtime/compiler.py::CompiledDetector.score_stack_step": "strict",
-    "repro/runtime/compiler.py::CompiledDetector.score_step": "strict",
     # -- fleet serving tick ----------------------------------------------
     "repro/streaming/fleet.py::FleetManager.step": "alloc",
     "repro/streaming/fleet.py::FleetManager._step_inner": "alloc",
-    "repro/streaming/fleet.py::FleetManager._incremental_forward": "alloc",
     "repro/streaming/fleet.py::FleetManager._record_tick_metrics": "alloc",
     # -- per-star adaptive thresholds ------------------------------------
     "repro/streaming/vector_pot.py::VectorizedIncrementalPOT.update": "alloc",

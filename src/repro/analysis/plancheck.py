@@ -1,54 +1,34 @@
-"""Plan verifier: static + instrumented checks over compiled serving plans.
+"""Plan verifier: structural checks over compiled serving plans.
 
 ``verify_model`` validates a :class:`repro.runtime.plans.CompiledModel`
-against the invariants the incremental serving runtime assumes but cannot
-cheaply assert per tick:
+by interpreting its forward composition symbolically: every plan weight is
+propagated through embedding → encoder stack → decoder stack → head, and
+GCN propagation → score head, checking
 
-1. **structural interpretation** — every plan weight is propagated
-   symbolically through the forward composition (embedding → encoder
-   stack → decoder stack → head; GCN propagation → score head) checking
-   dtype uniformity, write-locks (the ``freeze`` contract) and shape
-   chains (``d_model`` threading, head divisibility, the ``(omega,
-   omega)`` GCN geometry);
-2. **instrumented drive** — an :class:`IncrementalState` per declared
-   layout is rebuilt from synthetic windows and ticked with a tracking
-   arena, comparing every emitted score vector bit-for-bit (float64)
-   against the full forward staged exactly as that layout's serving front
-   stages it (``score_stack``'s transposed views for ``"stack"``, the
-   per-stream C-contiguous staging for ``"windows"``);
-3. **state invariants** — mirrored-ring geometry and bounds, mirror-half
-   equality, workspace aliasing (no two arena slots, and no slot and ring,
-   may share memory), steady-state arena reallocation, and the raw layout
-   of the ``model.errors`` workspace against the state's declared layout.
+* dtype uniformity — every weight carries the plan dtype;
+* write-locks — the ``freeze`` contract, so a serving-time mutation cannot
+  silently fork the numerics;
+* shape chains — ``d_model`` threading, head divisibility and the
+  ``(omega, omega)`` GCN geometry.
 
 Every failure is a named :class:`PlanIssue` (``dtype-mismatch``,
-``mutable-weight``, ``shape-mismatch``, ``workspace-alias``,
-``workspace-realloc``, ``ring-bounds``, ``ring-mirror``,
-``layout-mismatch``, ``score-divergence``, ``drive-failure``) collected
-into a :class:`PlanReport`; ``compile_detector(..., verify=True)`` runs
-the verifier at export time and raises :class:`PlanVerificationError` on
-any issue.
-
-Verification is serving-transparent: the dynamic-graph adjacency state is
-snapshotted around every drive, so a verified detector scores exactly what
-an unverified one does.
+``mutable-weight``, ``shape-mismatch``) collected into a
+:class:`PlanReport`; ``compile_detector(..., verify=True)`` runs the
+verifier at export time and raises :class:`PlanVerificationError` on any
+issue.  Verification only reads the plan, so a verified detector scores
+exactly what an unverified one does.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ..runtime.incremental import IncrementalState, ScratchArena
 
 __all__ = [
     "PlanIssue",
     "PlanReport",
     "PlanVerificationError",
-    "TrackingArena",
-    "check_state",
     "check_structure",
     "verify_detector",
     "verify_model",
@@ -57,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanIssue:
-    """One named verification failure at a plan/state location."""
+    """One named verification failure at a plan location."""
 
     kind: str
     location: str
@@ -72,8 +52,6 @@ class PlanReport:
     """Everything one :func:`verify_model` run found (empty = verified)."""
 
     issues: list[PlanIssue] = field(default_factory=list)
-    layouts: tuple[str, ...] = ()
-    ticks: int = 0
     arrays_checked: int = 0
 
     @property
@@ -98,32 +76,6 @@ class PlanVerificationError(RuntimeError):
         super().__init__(
             f"compiled plan failed verification ({len(report.issues)} issue(s)):\n{details}"
         )
-
-
-class TrackingArena(ScratchArena):
-    """ScratchArena that records slot reallocations after warm-up.
-
-    Once :attr:`steady` is set (the drive finished its first scored tick),
-    any ``get`` whose slot no longer matches its requested geometry means a
-    kernel is re-shaping workspaces tick over tick — steady-state
-    allocation the zero-allocation contract forbids.
-    """
-
-    __slots__ = ("steady", "reallocations")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.steady = False
-        self.reallocations: list[str] = []
-
-    def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        if self.steady:
-            buffer = self._buffers.get(name)
-            if buffer is not None and (
-                buffer.shape != tuple(shape) or buffer.dtype != np.dtype(dtype)
-            ):
-                self.reallocations.append(name)
-        return super().get(name, shape, dtype)
 
 
 # ----------------------------------------------------------------------
@@ -326,292 +278,20 @@ def check_structure(model, config) -> list[PlanIssue]:
     return issues
 
 
-# ----------------------------------------------------------------------
-# state invariants
-# ----------------------------------------------------------------------
-def _state_rings(state) -> list[tuple[str, np.ndarray]]:
-    rings = [("_values", state._values)]
-    for name in ("_features", "_enc_embed", "_dec_embed"):
-        ring = getattr(state, name)
-        if ring is not None:
-            rings.append((name, ring))
-    return rings
+def verify_model(model, config) -> PlanReport:
+    """Verify one :class:`CompiledModel`'s plans against their structure.
 
-
-def check_state(state) -> list[PlanIssue]:
-    """Ring + arena invariants of one (possibly corrupted) serving state."""
-    return _check_rings(state) + _check_arena(state)
-
-
-def _check_rings(state) -> list[PlanIssue]:
-    issues: list[PlanIssue] = []
-    window = state.window
-    mirror = 2 * window
-    rings = _state_rings(state)
-    for name, ring in rings:
-        if ring.shape[1] != mirror:
-            issues.append(
-                PlanIssue(
-                    "ring-bounds", f"state.{name}",
-                    f"mirrored ring needs {mirror} slots (2W), has {ring.shape[1]}",
-                )
-            )
-    if state._times.shape != (mirror,):
-        issues.append(
-            PlanIssue(
-                "ring-bounds", "state._times",
-                f"times ring needs shape ({mirror},), has {state._times.shape}",
-            )
-        )
-    if not 0 <= state.count <= window:
-        issues.append(
-            PlanIssue(
-                "ring-bounds", "state.count",
-                f"count {state.count} outside [0, window={window}]",
-            )
-        )
-    if state.pos < state.count:
-        issues.append(
-            PlanIssue(
-                "ring-bounds", "state.pos",
-                f"pos {state.pos} behind count {state.count}: rows appeared from nowhere",
-            )
-        )
-    start = state.window_start
-    for name, ring in rings:
-        if start < 0 or start + window > ring.shape[1]:
-            issues.append(
-                PlanIssue(
-                    "ring-bounds", f"state.{name}",
-                    f"window view [{start}, {start + window}) escapes the "
-                    f"{ring.shape[1]}-slot ring",
-                )
-            )
-    if state.warm:
-        for name, ring in rings:
-            halves_equal = ring.shape[1] == mirror and np.array_equal(
-                ring[:, :window], ring[:, window:], equal_nan=True
-            )
-            if not halves_equal:
-                issues.append(
-                    PlanIssue(
-                        "ring-mirror", f"state.{name}",
-                        "mirror halves diverged: some append wrote one half only, "
-                        "so a wrapped window view reads stale rows",
-                    )
-                )
-        if state.times_mode == "real" and not np.array_equal(
-            state._times[:window], state._times[window:], equal_nan=True
-        ):
-            issues.append(
-                PlanIssue(
-                    "ring-mirror", "state._times",
-                    "times mirror halves diverged",
-                )
-            )
-    return issues
-
-
-def _check_arena(state) -> list[PlanIssue]:
-    issues: list[PlanIssue] = []
-    arena = state.arena
-    buffers = sorted(arena._buffers.items())
-    allowed = {np.dtype(state.dtype), np.dtype(np.bool_), np.dtype(np.float64)}
-    for name, buffer in buffers:
-        if buffer.dtype not in allowed:
-            issues.append(
-                PlanIssue(
-                    "dtype-mismatch", f"arena[{name}]",
-                    f"workspace dtype {buffer.dtype.name} is neither the plan "
-                    f"dtype ({np.dtype(state.dtype).name}) nor bool/float64",
-                )
-            )
-    for (name_a, buffer_a), (name_b, buffer_b) in itertools.combinations(buffers, 2):
-        if np.shares_memory(buffer_a, buffer_b):
-            issues.append(
-                PlanIssue(
-                    "workspace-alias", f"arena[{name_a}] / arena[{name_b}]",
-                    "workspace slots share memory: one kernel's output silently "
-                    "overwrites another's operand",
-                )
-            )
-    for name, buffer in buffers:
-        for ring_name, ring in _state_rings(state):
-            if np.shares_memory(buffer, ring):
-                issues.append(
-                    PlanIssue(
-                        "workspace-alias", f"arena[{name}] / state.{ring_name}",
-                        "workspace overlaps a history ring: a tick's scratch "
-                        "writes would corrupt the buffered window",
-                    )
-                )
-    errors = arena._buffers.get("model.errors")
-    if errors is not None:
-        stacks, variates, omega = state.num_stacks, state.num_variates, state.short
-        if state._uni or state.layout == "windows":
-            expected = (stacks, variates, omega)
-        else:
-            # "stack" layout stages errors transposed so the GCN sees the
-            # same strides as score_stack's `target - reconstruction`.
-            expected = (stacks, omega, variates)
-        if errors.shape != expected:
-            issues.append(
-                PlanIssue(
-                    "layout-mismatch", "arena[model.errors]",
-                    f"declared layout {state.layout!r} stages errors as "
-                    f"{expected}, workspace is {errors.shape}",
-                )
-            )
-    if isinstance(arena, TrackingArena):
-        for name in sorted(set(arena.reallocations)):
-            issues.append(
-                PlanIssue(
-                    "workspace-realloc", f"arena[{name}]",
-                    "slot reallocated after warm-up: the steady-state tick is "
-                    "not allocation-free",
-                )
-            )
-    return issues
-
-
-# ----------------------------------------------------------------------
-# instrumented drive
-# ----------------------------------------------------------------------
-def _reference_scores(model, config, mode, windows, times) -> np.ndarray:
-    """Full-forward scores staged exactly like ``mode``'s serving front."""
-    num_stacks, window, variates = windows.shape
-    short = int(config.short_window)
-    if mode == "stack":
-        long_windows = windows.transpose(0, 2, 1)
-        long_times = np.broadcast_to(times, (num_stacks, window))
-    else:
-        long_windows = np.empty((num_stacks, variates, window))
-        for index in range(num_stacks):
-            long_windows[index] = windows[index].T
-        long_times = np.empty((num_stacks, window))
-        long_times[:] = times
-    return model.forward(
-        long_windows,
-        long_windows[:, :, window - short :],
-        long_times,
-        long_times[:, window - short :],
-    ).scores
-
-
-def _dynamic_snapshot(noise):
-    if noise is None or noise._dynamic_state is None:
-        return None
-    return noise._dynamic_state.copy()
-
-
-def _drive_layout(model, config, layout, num_stacks, ticks, rng, bitwise) -> list[PlanIssue]:
-    issues: list[PlanIssue] = []
-    state = IncrementalState(model, config, num_stacks, layout=layout)
-    arena = TrackingArena()
-    state.arena = arena
-    window, variates = state.window, state.num_variates
-
-    stack = rng.random((num_stacks, window, variates))
-    times = np.arange(window, dtype=np.float64)
-    state.rebuild(stack, times)
-    windows = stack.copy()
-    # `use_short_window=False` states serve through `_score_full`, which
-    # replays score_stack staging whatever the declared layout.
-    reference_mode = layout if state.supported else "stack"
-    noise = model.noise
-    dynamic = noise is not None and noise.graph_mode == "dynamic"
-
-    for tick in range(ticks + 1):
-        if tick > 0:
-            rows = rng.random((num_stacks, variates))
-            timestamp = float(window + tick - 1)
-            windows = np.concatenate([windows[:, 1:], rows[:, None, :]], axis=1)
-            times = np.concatenate([times[1:], [timestamp]])
-            state.append(rows, timestamp)
-        snapshot = _dynamic_snapshot(noise) if dynamic else None
-        got = state.score()
-        if dynamic:
-            # The incremental tick advanced the EMA adjacency; rewind so the
-            # reference forward replays the identical transition.
-            noise._dynamic_state = snapshot
-        reference = _reference_scores(model, config, reference_mode, windows, times)
-        if bitwise:
-            equal = np.array_equal(reference, got)
-        else:
-            equal = np.allclose(reference, got, rtol=1e-5, atol=1e-6)
-        if not equal:
-            diff = float(
-                np.max(
-                    np.abs(
-                        np.asarray(reference, dtype=np.float64)
-                        - np.asarray(got, dtype=np.float64)
-                    )
-                )
-            )
-            issues.append(
-                PlanIssue(
-                    "score-divergence", f"layout={layout}",
-                    f"tick {tick}: incremental scores diverge from the full "
-                    f"forward (max abs diff {diff:.3e})",
-                )
-            )
-            break
-        arena.steady = True
-    issues.extend(check_state(state))
-    return issues
-
-
-def verify_model(
-    model,
-    config,
-    *,
-    num_stacks: int = 2,
-    ticks: int = 4,
-    layouts: tuple[str, ...] = ("stack", "windows"),
-    seed: int = 0,
-) -> PlanReport:
-    """Verify one :class:`CompiledModel` against its serving invariants.
-
-    Runs the structural interpretation, then (if structurally sound) one
-    instrumented incremental drive per layout.  float64 plans are compared
-    bit-for-bit against the full forward; float32 plans with a tolerance
-    (their contract is precision-, not bit-, equivalence).  The model's
-    observable serving state (dynamic adjacency, last_adjacency) is
-    restored afterwards, so verification never changes a served score.
+    Runs the structural interpretation over every plan weight (see the
+    module docstring); the model is only read, never executed.
     """
     arrays_checked = sum(
         1 for _, array in _iter_plan_arrays(model) if array is not None
     )
-    report = PlanReport(layouts=tuple(layouts), ticks=ticks, arrays_checked=arrays_checked)
+    report = PlanReport(arrays_checked=arrays_checked)
     report.issues.extend(check_structure(model, config))
-    if report.issues:
-        return report
-
-    bitwise = np.dtype(model.dtype) == np.dtype(np.float64)
-    rng = np.random.default_rng(seed)
-    noise = model.noise
-    saved_dynamic = _dynamic_snapshot(noise)
-    saved_adjacency = None if noise is None else noise.last_adjacency
-    try:
-        for layout in layouts:
-            try:
-                report.issues.extend(
-                    _drive_layout(model, config, layout, num_stacks, ticks, rng, bitwise)
-                )
-            except Exception as error:  # noqa: BLE001 - verification must report, not crash
-                report.issues.append(
-                    PlanIssue(
-                        "drive-failure", f"layout={layout}",
-                        f"incremental drive raised {type(error).__name__}: {error}",
-                    )
-                )
-    finally:
-        if noise is not None:
-            noise._dynamic_state = saved_dynamic
-            noise.last_adjacency = saved_adjacency
     return report
 
 
-def verify_detector(detector, **kwargs) -> PlanReport:
+def verify_detector(detector) -> PlanReport:
     """:func:`verify_model` over a :class:`CompiledDetector`'s plan + config."""
-    return verify_model(detector.model, detector.config, **kwargs)
+    return verify_model(detector.model, detector.config)

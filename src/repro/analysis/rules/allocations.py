@@ -1,11 +1,10 @@
 """Hot-path allocation rules.
 
 Functions registered in :data:`repro.analysis.hotpath.HOT_PATHS` (or marked
-``@hot_path``) run once per serving tick; the incremental kernels among
-them are tracemalloc-pinned to *zero* steady-state allocation.  These rules
-keep the pins honest between benchmark runs: a fresh ``np.empty`` or an
-``out=``-less ufunc inside a registered function is flagged on every lint
-run, not on the next time someone re-reads a flamegraph.
+``@hot_path``) run once per serving tick.  These rules keep them honest
+between benchmark runs: a fresh ``np.empty`` (or, in the ``strict`` tier,
+an ``out=``-less ufunc) inside a registered function is flagged on every
+lint run, not on the next time someone re-reads a flamegraph.
 
 Nested ``def``/``lambda`` bodies are excluded — a closure defined inside a
 hot function is its own (unregistered) function.
@@ -74,7 +73,7 @@ class HotPathAllocRule:
     description = (
         "registered hot paths may not call allocating numpy constructors "
         "(np.empty/zeros/concatenate/...) or .copy()/.astype(); preallocate "
-        "in __init__ or a ScratchArena"
+        "in __init__ and write into it"
     )
 
     def check(self, context: FileContext) -> list[LintFinding]:

@@ -298,9 +298,10 @@ class AeroDetector:
         This is the reusable single-step core of Algorithm 2: one forward
         pass over explicit ``(batch, N, W)`` long windows and ``(batch, N,
         omega)`` short windows, with no re-windowing of the full series.  The
-        streaming subsystem (:mod:`repro.streaming`) builds its incremental
-        path on top of this method.  With ``backend="compiled"`` the forward
-        pass runs on the tape-free plans of :mod:`repro.runtime`.
+        streaming subsystem (:mod:`repro.streaming`) builds its per-row
+        serving path on top of this method.  With ``backend="compiled"``
+        the forward pass runs on the tape-free plans of
+        :mod:`repro.runtime`.
         """
         model = self._require_fitted()
         if self._resolve_backend(backend) == "compiled":

@@ -18,6 +18,12 @@ no per-window python loops.
   plus the fused multi-star ``score_stack``, scored in cache-sized shard
   blocks).
 
+The compiled plan is the one serving engine: ``score_stack`` and
+``score_windows`` both run :meth:`CompiledModel.scores`, a full forward
+over each window.  AERO's encoder attends globally over slot-relative time
+embeddings, so every slide changes every encoder position and there is no
+exact cross-tick reuse to cache.
+
 Entry points::
 
     compiled = compile_detector(detector)            # bit-equal float64
@@ -31,7 +37,6 @@ or, through the detector itself::
 """
 
 from .compiler import CompiledDetector, compile_detector, compile_model
-from .incremental import IncrementalState, ScratchArena
 from .plans import (
     CompiledForwardResult,
     CompiledModel,
@@ -46,8 +51,6 @@ __all__ = [
     "CompiledDetector",
     "CompiledModel",
     "CompiledForwardResult",
-    "IncrementalState",
-    "ScratchArena",
     "TemporalPlan",
     "NoisePlan",
     "TimeEmbeddingPlan",

@@ -220,43 +220,6 @@ class CompiledDetector:
         """Tape-free equivalent of :meth:`AeroDetector.score_windows`."""
         return self.model.scores(long_windows, short_windows, long_times, short_times)
 
-    # ------------------------------------------------------------------
-    # incremental serving
-    # ------------------------------------------------------------------
-    def new_incremental_state(self, num_stacks: int, layout: str = "stack"):
-        """A fresh :class:`repro.runtime.IncrementalState` for this plan.
-
-        The state starts *invalid* (it has no window history); seed it with
-        :meth:`IncrementalState.rebuild` from the serving ring buffers, then
-        advance it one tick at a time with :meth:`score_stack_step`.
-        ``layout`` picks which full-forward entry point the state matches
-        bit for bit: ``"stack"`` for :meth:`score_stack` (fleet serving),
-        ``"windows"`` for :meth:`score_windows` (per-stream serving).
-        """
-        from .incremental import IncrementalState
-
-        return IncrementalState(self.model, self.config, num_stacks, layout=layout)
-
-    def score_stack_step(self, state, rows: np.ndarray, timestamp=None) -> np.ndarray:
-        """Append one scaled exposure and score the fleet incrementally.
-
-        ``rows`` is the ``(num_stacks, N)`` *scaled* exposure (exactly what
-        the streaming fronts append to their ring buffers); ``timestamp``
-        the shared exposure time (``None`` locks the state to the default
-        index cadence).  Returns ``(num_stacks, N)`` scores — bit-for-bit
-        equal (float64) to staging the updated windows through
-        :meth:`score_stack` — or NaN while the state warms up.
-        """
-        state.append(rows, timestamp)
-        if not state.warm:
-            return np.full((state.num_stacks, state.num_variates), np.nan)  # repro: allow[hot-alloc] -- warm-up ticks only; the emitted result must outlive the tick
-        return state.score()
-
-    def score_step(self, state, row: np.ndarray, timestamp=None) -> np.ndarray:
-        """Single-stack :meth:`score_stack_step`: ``(N,)`` row in, ``(N,)`` scores out."""
-        rows = np.asarray(row, dtype=np.float64).reshape(1, -1)
-        return self.score_stack_step(state, rows, timestamp)[0]
-
     def score_stack(self, stack: np.ndarray, timestamps: np.ndarray | None = None) -> np.ndarray:
         """Score a ``(S, W, N)`` stack of full windows, shard-blocked.
 
@@ -332,12 +295,11 @@ def compile_detector(detector: "AeroDetector", dtype="float64", verify: bool = F
     from it afterwards (re-fitting the detector does not change the plan).
 
     ``verify=True`` runs :func:`repro.analysis.plancheck.verify_model` on
-    the exported plan before returning — structural shape/dtype checks
-    plus an instrumented incremental drive per layout, compared against
-    the full forward — raising
+    the exported plan before returning — structural shape, dtype and
+    write-lock checks over every plan weight — raising
     :class:`~repro.analysis.plancheck.PlanVerificationError` on any issue.
-    Verification restores all observable serving state, so a verified
-    detector scores exactly what an unverified one does.
+    Verification only reads the plan, so a verified detector scores
+    exactly what an unverified one does.
     """
     model = detector._require_fitted()
     dtype = _resolve_dtype(dtype)

@@ -77,25 +77,16 @@ class FleetManager:
         so scoring starts on the first tick (default).  Disable to model
         cold-started shards that warm up over the first ``W`` exposures.
     alert_policy:
-        Optional :class:`AlertPolicy`; defaults to a debounce-2 / cooldown-30
-        policy.  Pass ``None`` explicitly via ``alerts=False``-style usage is
-        not supported — use a permissive policy instead.
+        Optional :class:`AlertPolicy`; ``None`` (the default) builds a
+        debounce-2 / cooldown-30 policy.  Alerts cannot be switched off;
+        pass a permissive policy to make them rare.
     backend:
-        ``"autograd"``, ``"compiled"``, ``"incremental"``, ``None`` (inherit
-        the detector's default) or a pre-built
-        :class:`repro.runtime.CompiledDetector`.
+        ``"autograd"``, ``"compiled"``, ``None`` (inherit the detector's
+        default) or a pre-built :class:`repro.runtime.CompiledDetector`.
         On the compiled backend every tick is served through the fused
         multi-star ``score_stack`` path: the ``(num_shards, W, N)`` stack of
         ring-buffer windows is scored tape-free, in cache-sized shard blocks
         (one plan call per block, bit-equal to one unblocked call).
-        ``"incremental"`` compiles the detector and serves ticks through a
-        cross-tick :class:`repro.runtime.IncrementalState`: each exposure
-        appends one row per shard into the state's ring arenas and only the
-        newest timestep's work is recomputed (scores stay bit-identical to
-        the compiled backend in float64).  The state rebuilds transparently
-        from the ring buffers whenever its history is discarded (fresh
-        start, hot swap), and model shapes the incremental plan cannot
-        serve exactly fall back to the full compiled forward per tick.
     threshold_mode:
         ``"global"`` (default) labels every star against the detector's one
         frozen POT scalar — the historical behaviour, correct only while
@@ -214,18 +205,8 @@ class FleetManager:
         self._gap_streak = np.zeros((num_shards, model.num_variates), dtype=np.int64)
         self._suppress = np.zeros((num_shards, model.num_variates), dtype=np.int64)
         self.alert_policy = alert_policy or AlertPolicy()
-        # "incremental" rides on the compiled engine: resolve it as
-        # "compiled" and layer the cross-tick state on top.
-        self._incremental = backend == "incremental"
-        self._engine = resolve_backend_engine(
-            detector, "compiled" if self._incremental else backend
-        )
-        self._inc_state = None
-        self._inc_retired = {"ticks": 0, "incremental_ticks": 0, "rebuilds": 0, "fallback_ticks": 0}
-        if self._incremental:
-            self.backend = "incremental"
-        else:
-            self.backend = "autograd" if self._engine is None else "compiled"
+        self._engine = resolve_backend_engine(detector, backend)
+        self.backend = "autograd" if self._engine is None else "compiled"
 
         window = self.config.window
         # Shards share one exposure timeline, stitched to the training tail
@@ -289,18 +270,6 @@ class FleetManager:
         )
         self._m_swaps = self._registry.counter(
             "fleet_hot_swaps_total", "Serving models hot-swapped into running fleets"
-        )
-        self._m_inc_ticks = self._registry.counter(
-            "fleet_incremental_ticks_total",
-            "Fleet ticks served from live incremental state (cache hits)",
-        )
-        self._m_inc_rebuilds = self._registry.counter(
-            "fleet_incremental_rebuilds_total",
-            "Incremental states rebuilt from the shard ring buffers",
-        )
-        self._m_inc_fallbacks = self._registry.counter(
-            "fleet_incremental_fallbacks_total",
-            "Incremental ticks served by the full-forward fallback",
         )
 
     # ------------------------------------------------------------------
@@ -418,13 +387,6 @@ class FleetManager:
         self._scaler = target.scaler
         self._engine = target.engine
         self.backend = "autograd" if self._engine is None else "compiled"
-        if self._incremental:
-            # prefer_compiled guarantees a compiled engine above; the old
-            # state's cached history was built under the old model and
-            # scaler, so it is discarded (its accounting folds into the
-            # running totals) and rebuilt on the next tick.
-            self.backend = "incremental"
-            self._retire_inc_state()
         self.threshold = target.threshold if threshold is None else float(threshold)
         # The staging array of the other backend kind may not exist yet.
         window = self.config.window
@@ -587,9 +549,7 @@ class FleetManager:
             )
 
         with self._tracer.span("fleet.forward"):
-            if self._incremental:
-                scores = self._incremental_forward(scaled, float(times[0]))
-            elif self._engine is not None:
+            if self._engine is not None:
                 self._batch_times[:] = self._timeline.view(window)[None, :]
                 for shard, buffer in enumerate(self._buffers):
                     self._batch_stack[shard] = buffer.view(window)
@@ -636,65 +596,6 @@ class FleetManager:
             step=step_index, scores=scores, labels=labels,
             threshold=self.threshold, thresholds=thresholds, alerts=alerts,
         )
-
-    def _incremental_forward(self, scaled: np.ndarray, timestamp: float) -> np.ndarray:
-        """Serve one tick from the cross-tick incremental state.
-
-        The state ingests the same imputed, scaled rows the ring buffers
-        just did, so the two stay in lockstep and each tick costs only the
-        newest timestep's compute.  Whenever the state has no trustworthy
-        history — fresh fleet, hot swap — it rebuilds from the ring buffers
-        in place and serves the same tick from the rebuilt window.
-        """
-        state = self._inc_state
-        window = self.config.window
-        if state is not None and state.valid:
-            scores = self._engine.score_stack_step(state, scaled, timestamp)
-            if state.supported:
-                self._m_inc_ticks.inc()
-        else:
-            if state is None:
-                state = self._engine.new_incremental_state(self.num_shards)
-                self._inc_state = state
-            for shard, buffer in enumerate(self._buffers):
-                self._batch_stack[shard] = buffer.view(window)
-            state.rebuild(self._batch_stack, self._timeline.view(window))
-            scores = state.score()
-            self._m_inc_rebuilds.inc()
-        if not state.supported:
-            self._m_inc_fallbacks.inc()
-        return scores
-
-    def _retire_inc_state(self) -> None:
-        """Fold the current state's accounting into the running totals."""
-        state = self._inc_state
-        if state is not None:
-            self._inc_retired["ticks"] += state.ticks
-            self._inc_retired["incremental_ticks"] += state.incremental_ticks
-            self._inc_retired["rebuilds"] += state.rebuilds
-            self._inc_retired["fallback_ticks"] += state.fallbacks
-        self._inc_state = None
-
-    def incremental_stats(self) -> dict | None:
-        """Cross-tick cache accounting, or ``None`` off the incremental backend.
-
-        Cumulative across the fleet's lifetime (hot swaps retire the live
-        state but keep its counts).  ``incremental_ticks`` counts cache
-        hits (only the newest timestep recomputed), ``rebuilds`` counts
-        ring-buffer state rebuilds, and ``fallback_ticks`` counts ticks
-        served by the full compiled forward because the model shape has no
-        exact incremental plan.
-        """
-        if not self._incremental:
-            return None
-        stats = dict(self._inc_retired)
-        state = self._inc_state
-        if state is not None:
-            stats["ticks"] += state.ticks
-            stats["incremental_ticks"] += state.incremental_ticks
-            stats["rebuilds"] += state.rebuilds
-            stats["fallback_ticks"] += state.fallbacks
-        return stats
 
     def _record_tick_metrics(self, missing, masked, any_missing: bool, any_masked: bool) -> None:
         """Per-tick metric updates (telemetry on only): O(1) array ops."""

@@ -1,4 +1,4 @@
-"""Incremental online scoring equal to the batch detector (Algorithm 2).
+"""Streaming (online) scoring equal to the batch detector (Algorithm 2).
 
 :class:`StreamingDetector` wraps a *fitted* :class:`repro.core.AeroDetector`
 and ingests one timestamp (or a micro-batch of timestamps) at a time.  Per
@@ -234,13 +234,7 @@ class StreamingDetector:
         ``"autograd"`` steps through the detector's model; ``"compiled"``
         compiles the detector into the tape-free plans of
         :mod:`repro.runtime` and serves from those (same scores, bit for bit
-        in float64).  ``"incremental"`` additionally keeps a cross-tick
-        :class:`repro.runtime.IncrementalState`: every ingested row appends
-        into the state's ring arenas and only the newest timestep's work is
-        recomputed per tick; the state rebuilds transparently from the ring
-        buffer when its history is discarded (fresh stream, hot swap), and
-        model shapes without an exact incremental plan fall back to the
-        full compiled forward.  A pre-built
+        in float64).  A pre-built
         :class:`repro.runtime.CompiledDetector` may also be passed
         directly, e.g. one loaded from a checkpoint or compiled with
         ``dtype="float32"``.  ``None`` inherits the detector's default
@@ -260,17 +254,8 @@ class StreamingDetector:
         self.config = detector.config
         self.num_variates = model.num_variates
         self._scaler = detector.scaler
-        # "incremental" rides on the compiled engine: resolve it as
-        # "compiled" and layer the cross-tick state on top.
-        self._incremental = backend == "incremental"
-        self._engine = resolve_backend_engine(
-            detector, "compiled" if self._incremental else backend
-        )
-        self._inc_state = None
-        if self._incremental:
-            self.backend = "incremental"
-        else:
-            self.backend = "autograd" if self._engine is None else "compiled"
+        self._engine = resolve_backend_engine(detector, backend)
+        self.backend = "autograd" if self._engine is None else "compiled"
 
         buffers, self._timeline = seed_stream_state(detector, 1, seed_context)
         self._buffer = buffers[0]
@@ -359,12 +344,6 @@ class StreamingDetector:
         self._scaler = target.scaler
         self._engine = target.engine
         self.backend = "autograd" if self._engine is None else "compiled"
-        if self._incremental:
-            # prefer_compiled guarantees a compiled engine above; the old
-            # state's cached history was built under the old model and
-            # scaler, so it is discarded and rebuilt on the next tick.
-            self.backend = "incremental"
-            self._inc_state = None
         self.threshold = target.threshold
         if target.graph_mode == "dynamic":
             # A dynamic-graph model starts its smoothed-adjacency state fresh,
@@ -427,9 +406,6 @@ class StreamingDetector:
         times = self._timeline.resolve(count, timestamps)
         scaled = self._scaler.transform(rows)
         missing = ~np.isfinite(rows)
-        if self._incremental:
-            return self._step_many_incremental(scaled, times, missing, count)
-
         window = self.config.window
         short = self.config.short_window
         ready_rows: list[int] = []
@@ -499,79 +475,6 @@ class StreamingDetector:
                     )
                 )
         return results
-
-    def _step_many_incremental(
-        self,
-        scaled: np.ndarray,
-        times: np.ndarray,
-        missing: np.ndarray,
-        count: int,
-    ) -> list[StreamStepResult]:
-        """Serve a micro-batch row by row from the cross-tick state.
-
-        Each ingested row advances the ring buffer, the timeline and the
-        incremental state in lockstep, so every ready tick costs only the
-        newest timestep's compute.  Imputed rows enter the state exactly as
-        they enter the ring buffer, which keeps the two bit-identical; only
-        a hot swap (or a fresh stream) discards the state, and the next
-        ready tick rebuilds it from the ring buffer transparently.
-        """
-        base = self._steps
-        results: list[StreamStepResult] = []
-        for position in range(count):
-            row_missing = missing[position]
-            if row_missing.any():
-                impute_missing_row(scaled[position], row_missing, self._buffer)
-            self._buffer.append(scaled[position])
-            self._timeline.append(times[position])
-            if not self._buffer.is_full:
-                results.append(
-                    StreamStepResult(
-                        index=base + position,
-                        scores=np.full(self.num_variates, np.nan),
-                        labels=np.zeros(self.num_variates, dtype=np.int64),
-                        threshold=self.threshold,
-                        ready=False,
-                    )
-                )
-                continue
-            scores = self._incremental_scores(scaled[position], float(times[position]))
-            if row_missing.any():
-                scores = scores.copy()
-                scores[row_missing] = np.nan
-            labels = (scores >= self.threshold).astype(np.int64)
-            adaptive = None
-            if self.adaptive_pot is not None:
-                self.adaptive_pot.update(scores)
-                adaptive = self.adaptive_pot.thresholds.copy()
-            results.append(
-                StreamStepResult(
-                    index=base + position,
-                    scores=scores,
-                    labels=labels,
-                    threshold=self.threshold,
-                    adaptive_threshold=adaptive,
-                )
-            )
-        self._steps += count
-        return results
-
-    def _incremental_scores(self, scaled_row: np.ndarray, timestamp: float) -> np.ndarray:
-        """One ready tick's ``(N,)`` scores from the incremental state."""
-        state = self._inc_state
-        if state is not None and state.valid:
-            return self._engine.score_stack_step(state, scaled_row[None, :], timestamp)[0]
-        if state is None:
-            # "windows" layout: the per-stream reference path is
-            # score_windows, whose multivariate error strides differ from
-            # score_stack's (both are bit-exact worlds; pick the right one).
-            state = self._engine.new_incremental_state(1, layout="windows")
-            self._inc_state = state
-        window = self.config.window
-        # The buffer already holds this tick's row, so rebuilding from the
-        # current window view serves the same tick the caller asked for.
-        state.rebuild(self._buffer.view(window)[None], self._timeline.view(window))
-        return state.score()[0]
 
     # ------------------------------------------------------------------
     def score_series(

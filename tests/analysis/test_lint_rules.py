@@ -4,16 +4,19 @@ Each rule gets a positive (flagged) and negative (clean) in-memory fixture;
 the suppression machinery is tested both ways (a used ``allow`` silences,
 a stale one is itself a finding); and the *mutation checks* prove the gate
 has teeth on the real tree — injecting a wall-clock read into
-``FleetManager.step`` or an allocation into an incremental kernel must
-produce a named finding through the registered hot-path manifest.
+``FleetManager.step`` or an allocation into the per-star POT update must
+produce a named finding through the registered hot-path manifest, whose
+every key must name a function that exists.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import DEFAULT_TARGETS, hot_path, lint_paths, lint_source
+from repro.analysis import DEFAULT_TARGETS, HOT_PATHS, hot_path, lint_paths, lint_source
 from repro.analysis.__main__ import main as analysis_main
+from repro.analysis.lint import FileContext
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -268,6 +271,28 @@ class TestCli:
         assert files_checked > 50
         assert findings == [], "\n".join(finding.format() for finding in findings)
 
+    def test_every_hot_path_key_names_one_function(self):
+        """A manifest key naming a deleted or renamed function would drop
+        out of the allocation contract silently; each must match exactly
+        one function under the default lint targets."""
+        matches = dict.fromkeys(HOT_PATHS, 0)
+        for target in DEFAULT_TARGETS:
+            for file in sorted((REPO_ROOT / target).rglob("*.py")):
+                relative = file.relative_to(REPO_ROOT).as_posix()
+                context = FileContext(relative, file.read_text(encoding="utf-8"))
+                for node in ast.walk(context.tree):
+                    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    qualname = context.qualname(node)
+                    for key in matches:
+                        suffix, _, name = key.partition("::")
+                        if name == qualname and (
+                            relative == suffix or relative.endswith("/" + suffix)
+                        ):
+                            matches[key] += 1
+        wrong = {key: count for key, count in matches.items() if count != 1}
+        assert wrong == {}, f"HOT_PATHS keys not matching exactly one function: {wrong}"
+
     def test_main_exits_zero_on_clean_tree(self, capsys):
         targets = [str(REPO_ROOT / target) for target in DEFAULT_TARGETS]
         assert analysis_main(targets) == 0
@@ -310,20 +335,11 @@ class TestMutationChecks:
         findings = lint_source(mutated, path="src/repro/streaming/fleet.py")
         assert "wallclock" in rules_of(findings)
 
-    def test_allocation_in_incremental_kernel_is_caught(self):
+    def test_allocation_in_vector_pot_update_is_caught(self):
         mutated = self._mutate(
-            "src/repro/runtime/incremental.py",
-            "def _ws_linear(arena: ScratchArena, name: str, x, weight, bias):",
-            "    staging = np.empty(x.shape, dtype=x.dtype)",
+            "src/repro/streaming/vector_pot.py",
+            "        flat = scores.ravel()",
+            "        staging = np.empty(flat.shape, dtype=flat.dtype)",
         )
-        findings = lint_source(mutated, path="src/repro/runtime/incremental.py")
+        findings = lint_source(mutated, path="src/repro/streaming/vector_pot.py")
         assert "hot-alloc" in rules_of(findings)
-
-    def test_out_less_ufunc_in_strict_kernel_is_caught(self):
-        mutated = self._mutate(
-            "src/repro/runtime/incremental.py",
-            "def _sigmoid_inplace(out):",
-            "    probe = np.exp(out)",
-        )
-        findings = lint_source(mutated, path="src/repro/runtime/incremental.py")
-        assert "hot-ufunc-out" in rules_of(findings)

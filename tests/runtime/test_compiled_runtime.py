@@ -6,6 +6,8 @@ ablation variant, both conditioning modes, all graph modes, the streaming
 and fleet serving fronts, and the fused multi-star stack path.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,13 @@ from repro import AeroConfig, AeroDetector
 from repro.core.variants import ABLATION_VARIANTS, build_variant
 from repro.nn import Tensor
 from repro.runtime import CompiledModel, compile_detector
+from repro.simulation import ReplayHarness, ScenarioConfig, build_scenario
 from repro.streaming import AlertPolicy, FleetManager, StreamingDetector
 
 VARIANTS = sorted(ABLATION_VARIANTS)
+WINDOW = 16
+SHORT = 6
+NUM_STACKS = 3
 
 #: Stack sizes on both sides of the shard-block boundary, from the block size.
 STACK_SIZES = {
@@ -37,7 +43,7 @@ def _make_series(num_points, num_variates, seed=7):
 
 def _fast_config(**overrides):
     settings = dict(
-        window=16, short_window=6, d_model=8, num_heads=2,
+        window=WINDOW, short_window=SHORT, d_model=8, num_heads=2,
         train_stride=3, max_epochs_stage1=2, max_epochs_stage2=2, batch_size=8,
     )
     settings.update(overrides)
@@ -304,6 +310,87 @@ class TestFusedStack:
             compiled.score_stack(test_series[None, :5, :])
 
 
+class TestTimeEmbeddingMemo:
+    def test_hot_key_survives_cache_overflow(self, fitted_variants):
+        """Oldest-inserted eviction: overflow must not dump the hot entry.
+
+        The memo previously cleared the whole cache on overflow, so one
+        burst of irregular batch embeddings evicted the steady serving
+        cadence along with everything else.
+        """
+        te = compile_detector(fitted_variants["full"]).model.temporal.time_embedding
+        te._cache.clear()
+        te._cache_bytes = 0
+        rng = np.random.default_rng(17)
+        base = np.cumsum(0.8 + 0.4 * rng.random((1, SHORT)), axis=1)
+        # Distinct *cadences* (the memo keys on intervals, which are
+        # shift-invariant — a translated timeline is the same key).
+        for i in range(te.MAX_CACHE):
+            te.embed(base * (2.0 + i))
+        assert len(te._cache) == te.MAX_CACHE
+        _, hot_token = te.embed(base)  # evicts exactly one oldest filler
+        assert hot_token is not None
+        # A further near-full churn of fresh keys must spare the hot entry.
+        for i in range(te.MAX_CACHE - 1):
+            te.embed(base * (1000.0 + i))
+        _, token_again = te.embed(base)
+        assert token_again == hot_token, "hot embedding was evicted by unrelated churn"
+        assert len(te._cache) <= te.MAX_CACHE
+
+    def test_equal_content_shares_one_token(self, fitted_variants):
+        te = compile_detector(fitted_variants["full"]).model.temporal.time_embedding
+        times = np.cumsum(np.full((2, SHORT), 0.5), axis=1)
+        embedding_a, token_a = te.embed(times, position_offset=3)
+        embedding_b, token_b = te.embed(np.array(times), position_offset=3)
+        assert token_a == token_b
+        assert embedding_b is embedding_a
+        _, token_c = te.embed(times, position_offset=4)
+        assert token_c != token_a
+
+
+class TestDecoderSelfStageCache:
+    def test_token_keying_survives_array_identity_reuse(self, fitted_variants):
+        """Regression: the stage memo must key on embedding tokens, not id().
+
+        ``id()`` keys forced the memo to pin embeddings alive (or miss
+        permanently once an equal-content array arrived at a new address).
+        Tokens are content-derived and monotonic: a fresh array with equal
+        content hits, different content can never alias.
+        """
+        plan = compile_detector(fitted_variants["full"]).model.temporal
+        te = plan.time_embedding
+        offset = WINDOW - SHORT
+        times_a = np.cumsum(np.full((NUM_STACKS, SHORT), 0.75), axis=1)
+        embedding_a, token_a = te.embed(times_a, position_offset=offset)
+        stage_a = plan._decoder_self_stage(embedding_a, token_a)
+        # A distinct-but-equal array object (fresh id) still hits the memo.
+        embedding_again, token_again = te.embed(np.array(times_a), position_offset=offset)
+        assert embedding_again is embedding_a
+        assert plan._decoder_self_stage(embedding_again, token_again) is stage_a
+        # Different content gets a new token and a genuinely new stage.
+        times_b = np.cumsum(np.full((NUM_STACKS, SHORT), 1.25), axis=1)
+        embedding_b, token_b = te.embed(times_b, position_offset=offset)
+        assert token_b != token_a
+        stage_b = plan._decoder_self_stage(embedding_b, token_b)
+        assert stage_b is not stage_a
+        assert not np.array_equal(np.asarray(stage_b), np.asarray(stage_a))
+        # An uncacheable embedding (token None) bypasses the memo but
+        # computes the identical stage.
+        stage_fresh = plan._decoder_self_stage(embedding_a, None)
+        assert stage_fresh is not stage_a
+        assert np.array_equal(np.asarray(stage_fresh), np.asarray(stage_a))
+
+    def test_cache_is_bounded(self, fitted_variants):
+        plan = compile_detector(fitted_variants["full"]).model.temporal
+        te = plan.time_embedding
+        offset = WINDOW - SHORT
+        for i in range(te.MAX_CACHE + 8):
+            times = np.cumsum(np.full((1, SHORT), 0.5 + 0.01 * i), axis=1)
+            embedding, token = te.embed(times, position_offset=offset)
+            plan._decoder_self_stage(embedding, token)
+        assert len(plan._self_stage_cache) <= te.MAX_CACHE
+
+
 class TestTapeFree:
     def test_compiled_scoring_allocates_no_tensors(self, detector, test_series, monkeypatch):
         compiled = compile_detector(detector)
@@ -354,6 +441,20 @@ class TestDetectorBackendSwitch:
             AeroDetector(backend="tensorflow")
         with pytest.raises(ValueError, match="backend"):
             detector.score(test_series, backend="jit")
+
+    @pytest.mark.parametrize(
+        "front",
+        [
+            lambda det: det.stream(backend="incremental"),
+            lambda det: StreamingDetector(det, backend="incremental"),
+            lambda det: FleetManager(det, num_shards=2, backend="incremental"),
+        ],
+        ids=["detector.stream", "StreamingDetector", "FleetManager"],
+    )
+    def test_removed_incremental_backend_is_rejected(self, detector, front):
+        # Every serving front resolves backend names through AeroDetector.
+        with pytest.raises(ValueError, match=re.escape(str(AeroDetector.BACKENDS))):
+            front(detector)
 
     def test_compile_requires_fitted(self):
         with pytest.raises(RuntimeError, match="fitted"):
@@ -426,3 +527,77 @@ class TestFleetOnCompiledBackend:
         other.fit(_make_series(140, 3, seed=21))
         with pytest.raises(ValueError, match="variates"):
             FleetManager(detector, num_shards=2, backend=compile_detector(other))
+
+
+@pytest.fixture(scope="module")
+def messy_night():
+    """Two shards of five stars with NaN gaps, a dropout, duplicate and
+    out-of-order frames: the faults a serving front must ride through."""
+    return build_scenario(
+        ScenarioConfig(
+            num_shards=2, num_variates=5, train_length=50, calibration_length=0,
+            night_length=90, num_events=2, num_duplicate_frames=3,
+            num_reordered_frames=3, seed=5,
+        )
+    )
+
+
+class TestCompiledFrontsUnderFaults:
+    """Compiled serving fronts stay bit-equal to autograd ones on messy input."""
+
+    def test_fleet_replay_with_duplicate_and_out_of_order_frames(self, detector, messy_night):
+        fleets = [
+            FleetManager(detector, num_shards=2, backend=backend, threshold_mode="per_star")
+            for backend in ("autograd", "compiled")
+        ]
+        (_, trace_a), (_, trace_c) = (
+            ReplayHarness(fleet, messy_night, dedupe=False).run() for fleet in fleets
+        )
+        assert np.array_equal(trace_a.scores, trace_c.scores, equal_nan=True)
+        assert np.array_equal(trace_a.labels, trace_c.labels)
+        assert np.array_equal(trace_a.thresholds, trace_c.thresholds)
+        # The night's dropout went through the re-arm guard on both fronts.
+        assert fleets[1].health().rejoins == fleets[0].health().rejoins > 0
+
+    def test_fleet_hot_swap_mid_night(self, detector, fitted_variants, messy_night):
+        autograd = FleetManager(detector, num_shards=2, backend="autograd")
+        compiled = FleetManager(detector, num_shards=2, backend="compiled")
+        for tick, frame in enumerate(messy_night.frames()[:50]):
+            if tick == 25:
+                autograd.swap_model(fitted_variants["static_graph"])
+                compiled.swap_model(fitted_variants["static_graph"])
+                assert compiled.backend == "compiled"
+            result_a = autograd.step(frame.rows, frame.timestamp)
+            result_c = compiled.step(frame.rows, frame.timestamp)
+            assert result_a.step == result_c.step
+            assert np.array_equal(result_a.scores, result_c.scores, equal_nan=True), tick
+            assert np.array_equal(result_a.labels, result_c.labels)
+            assert np.array_equal(result_a.thresholds, result_c.thresholds)
+
+    def test_stream_chunks_swap_and_adaptive_pot(self, detector, fitted_variants, test_series):
+        streams = [
+            StreamingDetector(detector, backend=backend, adaptive_pot=True)
+            for backend in ("autograd", "compiled")
+        ]
+        series = test_series[:60].copy()
+        series[12:14, 1] = np.nan
+        series[30] = np.nan
+        cursor = 0
+        for chunk in (7, 1, 13, 5, 20, 11, 3):
+            if cursor == 21:
+                for stream in streams:
+                    stream.swap_model(fitted_variants["static_graph"])
+            rows = series[cursor:cursor + chunk]
+            cursor += chunk
+            for result_a, result_c in zip(*(stream.step_many(rows) for stream in streams)):
+                assert result_a.index == result_c.index
+                assert result_a.ready == result_c.ready
+                assert np.array_equal(result_a.scores, result_c.scores, equal_nan=True)
+                assert np.array_equal(result_a.labels, result_c.labels)
+                if result_a.adaptive_threshold is None:
+                    assert result_c.adaptive_threshold is None
+                else:
+                    assert np.array_equal(
+                        result_a.adaptive_threshold, result_c.adaptive_threshold
+                    )
+        assert streams[1].backend == "compiled"
